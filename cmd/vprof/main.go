@@ -484,7 +484,6 @@ func multiMode(rc *runCfg, wNames, inNames []string, jobsN int, loadsOnly, conve
 		MaxAttempts:     rc.retries + 1,
 		AttemptDeadline: rc.jobDeadline,
 		BackoffBase:     50 * time.Millisecond,
-		Resume:          true,
 		SalvagePartial:  rc.salvage,
 	})
 

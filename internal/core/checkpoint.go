@@ -515,24 +515,31 @@ func NewCheckpointer(vp *ValueProfiler, path string, every uint64, programName, 
 }
 
 // Instrument implements atom.Tool.
-func (c *Checkpointer) Instrument(ix *atom.Instrumenter) {
-	ix.AddStep(func(v *vm.VM) error {
-		if c.next == 0 {
-			// Lazy arm: on a resumed run InstCount starts at the
-			// checkpoint, so the first snapshot lands one full
-			// interval later rather than immediately.
-			c.next = v.InstCount + c.Every
-			return nil
-		}
-		if v.InstCount < c.next {
-			return nil
-		}
+func (c *Checkpointer) Instrument(ix *atom.Instrumenter) { ix.AddStep(c.Step) }
+
+// Step is the checkpointer's per-instruction control routine. A tool
+// that already runs its own step calls it from there instead of
+// attaching the checkpointer, saving the VM a second call on every
+// instruction.
+func (c *Checkpointer) Step(v *vm.VM) error {
+	if v.InstCount >= c.next { // small enough to inline into a caller's step
+		c.tick(v)
+	}
+	return nil
+}
+
+func (c *Checkpointer) tick(v *vm.VM) {
+	if c.next == 0 {
+		// Lazy arm: on a resumed run InstCount starts at the
+		// checkpoint, so the first snapshot lands one full interval
+		// later rather than immediately.
 		c.next = v.InstCount + c.Every
-		if err := c.SnapshotNow(v); err != nil {
-			c.lastErr = err
-		}
-		return nil
-	})
+		return
+	}
+	c.next = v.InstCount + c.Every
+	if err := c.SnapshotNow(v); err != nil {
+		c.lastErr = err
+	}
 }
 
 // SnapshotNow writes a checkpoint of the current state immediately

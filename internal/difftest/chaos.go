@@ -183,10 +183,9 @@ func ChaosCheck(seed uint64, opts ChaosOptions) *ChaosReport {
 	}
 	res := supervise.Run(context.Background(), o.Workers, jobs, supervise.Policy{
 		MaxAttempts:    maxAttempts,
-		Resume:         true,
 		SalvagePartial: true,
 		Seed:           seed,
-		Chaos:          chaos,
+		Hook:           chaos,
 	})
 	rep.Injected, rep.Stalled, rep.Corrupted = chaos.Stats()
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"valueprof/internal/atom"
+	"valueprof/internal/core"
 	"valueprof/internal/vm"
 )
 
@@ -12,7 +13,7 @@ import (
 // pool: Staller imitates a hung analysis routine, and PoolChaos drives
 // seeded faults, stalls, and checkpoint corruption across the
 // concurrent jobs of a supervised batch (it implements the
-// supervise.Chaos interface structurally, so this package needs no
+// supervise.Hook interface structurally, so this package needs no
 // dependency on the supervisor).
 
 // Staller is an atom.Tool that sleeps once the VM's instruction count
@@ -87,8 +88,8 @@ func (c *PoolChaos) state(job, attempt int) uint64 {
 }
 
 // AttemptTool returns the disturbance for one job attempt, or nil for
-// a clean run.
-func (c *PoolChaos) AttemptTool(job, attempt int) atom.Tool {
+// a clean run; the attempt's profiler plays no part in the plan.
+func (c *PoolChaos) AttemptTool(job, attempt int, _ *core.ValueProfiler) atom.Tool {
 	if attempt > c.cleanAfter() {
 		return nil
 	}
@@ -112,10 +113,10 @@ func (c *PoolChaos) AttemptTool(job, attempt int) atom.Tool {
 	return New(Injection{At: at, Kind: kind})
 }
 
-// MangleCheckpoint corrupts roughly one in CorruptEvery carried
-// checkpoints, rotating among a truncation, a payload bit flip, and a
-// full replacement with garbage.
-func (c *PoolChaos) MangleCheckpoint(job, attempt int, data []byte) []byte {
+// Checkpoint corrupts roughly one in CorruptEvery carried checkpoints,
+// rotating among a truncation, a payload bit flip, and a full
+// replacement with garbage.
+func (c *PoolChaos) Checkpoint(job, attempt int, data []byte) []byte {
 	if c.CorruptEvery <= 0 || len(data) == 0 {
 		return data
 	}

@@ -32,13 +32,14 @@
 //
 // Fourth, daemon code in internal/serve may not call os.Exit (a
 // handler reports errors over the wire; only a command's main may end
-// the process), and may not construct per-job execution state outside
-// the arena path: vm.New/vm.NewSized, atom.Prepare, and
-// core.NewValueProfiler are banned there just as in the pool package,
-// because every VM and profiler a request touches must come from
-// parallel.AcquireVM/AcquireProfiler. Raw destructive writes are
-// covered by the first rule, which applies to every tree vvet runs
-// over — make lint runs it on internal/serve.
+// the process), and may not run VMs itself: vm.New/vm.NewSized,
+// atom.Prepare, and core.NewValueProfiler are banned there just as in
+// the pool package, and so are parallel.AcquireVM and atom.PrepareOn,
+// because the daemon runs every VM through internal/supervise, the one
+// retry, resume, and classify engine. The profiler probe Normalize
+// takes through parallel.AcquireProfiler stays allowed. Raw
+// destructive writes are covered by the first rule, which applies to
+// every tree vvet runs over — make lint runs it on internal/serve.
 package lint
 
 import (
@@ -92,6 +93,13 @@ var arenaBanned = map[string]string{
 	"core.NewValueProfiler": "acquire per-job profilers through the arena (AcquireProfiler) so pooling cannot silently regress",
 }
 
+// serveBanned maps package-qualified calls that would let the daemon
+// run a VM outside the supervisor.
+var serveBanned = map[string]string{
+	"parallel.AcquireVM": "vprofd runs VMs only through internal/supervise; build a supervise.Job instead",
+	"atom.PrepareOn":     "vprofd runs VMs only through internal/supervise; build a supervise.Job instead",
+}
+
 // serveScoped reports whether path falls under the daemon rule: a
 // non-test file in a directory named serve (the profiling-as-a-service
 // package, however the tree is rooted).
@@ -104,8 +112,8 @@ func serveScoped(path string) bool {
 
 // serveViolation flags daemon-scoped calls: os.Exit anywhere in serve
 // code (handlers report errors over the wire, they never end the
-// process), and the same arena-bypassing constructors the pool rule
-// bans — a request's VMs and profilers must come from the arena.
+// process), the same arena-bypassing constructors the pool rule bans,
+// and the VM set-up calls only the supervisor may make.
 func serveViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[string]string, osName string) *Finding {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -128,6 +136,9 @@ func serveViolation(fset *token.FileSet, call *ast.CallExpr, importNames map[str
 	}
 	qualified := canonical + "." + sel.Sel.Name
 	if reason, ok := arenaBanned[qualified]; ok {
+		return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
+	}
+	if reason, ok := serveBanned[qualified]; ok {
 		return &Finding{Pos: fset.Position(call.Pos()), Call: qualified, Msg: reason}
 	}
 	return nil
@@ -201,8 +212,8 @@ func CheckFile(fset *token.FileSet, fpath string) ([]Finding, error) {
 	}
 
 	// Resolve which local name refers to the os package ("" if the file
-	// never imports it), and — for arena-scoped files — which local
-	// names refer to the per-job state packages.
+	// never imports it), and — for arena- and serve-scoped files — which
+	// local names refer to the per-job state packages.
 	osName := ""
 	poolImports := map[string]string{}
 	for _, imp := range file.Imports {
@@ -217,7 +228,7 @@ func CheckFile(fset *token.FileSet, fpath string) ([]Finding, error) {
 		switch p {
 		case "os":
 			osName = name
-		case "valueprof/internal/vm", "valueprof/internal/atom", "valueprof/internal/core":
+		case "valueprof/internal/vm", "valueprof/internal/atom", "valueprof/internal/core", "valueprof/internal/parallel":
 			poolImports[name] = path.Base(p)
 		}
 	}

@@ -242,24 +242,58 @@ func fixture(prog *Program) {
 	if len(fs) != 0 {
 		t.Errorf("serve test-file findings = %v, want none", fs)
 	}
-	// Benign serve code — reads, arena acquires, slices — is clean.
+	// Benign serve code — reads, the arena profiler probe, slices — is
+	// clean.
 	ok := `package serve
 
 import (
 	"os"
 
+	"valueprof/internal/core"
 	"valueprof/internal/parallel"
 )
 
 func load(path string, n int) ([]byte, []int64) {
-	v := parallel.AcquireVM(nil, 0)
-	defer parallel.ReleaseVM(v)
+	vp, _ := parallel.AcquireProfiler(core.Options{})
+	defer parallel.ReleaseProfiler(vp)
 	b, _ := os.ReadFile(path)
 	return b, make([]int64, n)
 }
 `
 	if fs := checkAt(t, "internal/serve/runner.go", ok); len(fs) != 0 {
 		t.Errorf("benign serve findings = %v, want none", fs)
+	}
+}
+
+func TestFlagsServeVMOutsideSupervisor(t *testing.T) {
+	// The daemon runs VMs only through internal/supervise: acquiring
+	// and preparing one itself is a finding under any import name,
+	// while the Normalize-style profiler probe stays allowed.
+	src := `package serve
+
+import (
+	"valueprof/internal/atom"
+	"valueprof/internal/core"
+	pool "valueprof/internal/parallel"
+)
+
+func runDirect(prog *Program, opts atom.RunOptions) {
+	vp, _ := pool.AcquireProfiler(core.Options{})
+	v := pool.AcquireVM(prog, 0)
+	atom.PrepareOn(v, opts, vp)
+}
+`
+	fs := checkAt(t, "internal/serve/runner.go", src)
+	calls := map[string]bool{}
+	for _, f := range fs {
+		calls[f.Call] = true
+	}
+	if len(fs) != 2 || !calls["parallel.AcquireVM"] || !calls["atom.PrepareOn"] {
+		t.Fatalf("findings = %v, want parallel.AcquireVM and atom.PrepareOn", fs)
+	}
+	// The same calls are the pool's own business outside serve.
+	if fs := checkAt(t, "internal/supervise/supervise.go", src); len(fs) != 0 {
+		t.Errorf("supervise findings = %v, want none", fs)
 	}
 }
 

@@ -80,72 +80,23 @@ func run(ctx context.Context, workers int, jobs []Job, ar *Arena) []Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]Result, len(jobs))
-	var next sync.Mutex
-	cursor := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				i := cursor
-				cursor++
-				next.Unlock()
-				if i >= len(jobs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = Result{Job: jobs[i], Index: i, Outcome: vm.OutcomeCancelled, Skipped: true,
-						Err: fmt.Errorf("parallel: %s not dispatched: %w", jobs[i].Name(), err)}
-					continue
-				}
-				results[i] = runOne(ctx, jobs[i], i, ar)
+	return Map(workers, len(jobs), func(i int) Result {
+		job := jobs[i]
+		pj := ProgJob{Name: job.Name(), Input: job.Input.Args, Options: job.Options, Run: job.Run}
+		if ctx.Err() == nil { // an undispatched job is never compiled
+			var err error
+			if pj.Prog, err = job.Workload.Compile(); err != nil {
+				return Result{Job: job, Index: i, Outcome: vm.OutcomeFaulted, Err: err}
 			}
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
-// runOne executes a single job in isolation: its own profiler, its own
-// VM (acquired from ar, or fresh when ar is nil), shared (read-only)
-// program.
-func runOne(ctx context.Context, job Job, index int, ar *Arena) Result {
-	r := Result{Job: job, Index: index}
-	prog, err := job.Workload.Compile()
-	if err != nil {
-		r.Outcome, r.Err = vm.OutcomeFaulted, err
+		}
+		pr := pj.run(ctx, i, ar)
+		r := Result{Job: job, Index: i, Profile: pr.Profile, Exec: pr.Exec,
+			Outcome: pr.Outcome, Err: pr.Err, Skipped: pr.Skipped}
+		if r.Err == nil && job.Input.Want != "" && r.Exec.Output != job.Input.Want {
+			r.Err = fmt.Errorf("parallel: %s output mismatch:\n got %q\nwant %q", job.Name(), r.Exec.Output, job.Input.Want)
+		}
 		return r
-	}
-	vp, err := ar.AcquireProfiler(job.Options)
-	if err != nil {
-		r.Outcome, r.Err = vm.OutcomeFaulted, err
-		return r
-	}
-	opts := job.Run
-	opts.Input = job.Input.Args
-	v := ar.AcquireVM(prog, opts.EffectiveMemSize())
-	atom.PrepareOn(v, opts, vp)
-	outcome, err := v.RunControlled(ctx)
-	res := vm.ResultOf(v, outcome)
-	ar.ReleaseVM(v)
-	r.Profile = vp.Profile()
-	ar.ReleaseProfiler(vp)
-	r.Exec = res
-	r.Outcome = outcome
-	r.Err = err
-	if err == nil && job.Input.Want != "" && res.Output != job.Input.Want {
-		r.Err = fmt.Errorf("parallel: %s output mismatch:\n got %q\nwant %q", job.Name(), res.Output, job.Input.Want)
-	}
-	return r
+	})
 }
 
 // FirstError returns the lowest-index non-nil job error, wrapped with
@@ -182,10 +133,12 @@ func MergeShards(results []Result) (*core.Profile, error) {
 }
 
 // Map runs fn(i) for every i in [0, n) on at most workers goroutines
-// (≤ 0 selects GOMAXPROCS) and returns the results in index order. It
-// is the generic sibling of Run for callers whose unit of work is not
-// a profiling job (vexp parallelizes whole experiments with it);
-// cancellation and error handling are fn's responsibility.
+// (≤ 0 selects GOMAXPROCS; one worker is the caller's own goroutine)
+// and returns the results in index order. It is the pool's one worker
+// loop: Run, RunProgs, and supervise.Run go through it, and so do
+// callers whose unit of work is not a profiling job (vexp parallelizes
+// whole experiments with it); cancellation and error handling are
+// fn's responsibility.
 func Map[T any](workers, n int, fn func(i int) T) []T {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -194,6 +147,14 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 		workers = n
 	}
 	out := make([]T, n)
+	if workers == 1 {
+		// One worker runs on the caller's goroutine: no hand-off, and
+		// the arena's per-P pools stay warm for the caller's next job.
+		for i := range out {
+			out[i] = fn(i)
+		}
+		return out
+	}
 	var next sync.Mutex
 	cursor := 0
 	var wg sync.WaitGroup

@@ -47,32 +47,35 @@ func RunProgs(ctx context.Context, workers int, jobs []ProgJob) []ProgResult {
 		ctx = context.Background()
 	}
 	return Map(workers, len(jobs), func(i int) ProgResult {
-		job := jobs[i]
-		r := ProgResult{Name: job.Name, Index: i}
-		if err := ctx.Err(); err != nil {
-			r.Outcome, r.Skipped = vm.OutcomeCancelled, true
-			r.Err = fmt.Errorf("parallel: %s not dispatched: %w", job.Name, err)
-			return r
-		}
-		vp, err := shared.AcquireProfiler(job.Options)
-		if err != nil {
-			r.Outcome, r.Err = vm.OutcomeFaulted, err
-			return r
-		}
-		opts := job.Run
-		opts.Input = job.Input
-		v := shared.AcquireVM(job.Prog, opts.EffectiveMemSize())
-		atom.PrepareOn(v, opts, vp)
-		outcome, err := v.RunControlled(ctx)
-		res := vm.ResultOf(v, outcome)
-		shared.ReleaseVM(v)
-		r.Profile = vp.Profile()
-		shared.ReleaseProfiler(vp)
-		r.Exec = res
-		r.Outcome = outcome
-		r.Err = err
-		return r
+		return jobs[i].run(ctx, i, &shared)
 	})
+}
+
+// run is the one job body behind Run and RunProgs: the job's own
+// profiler and VM, acquired from ar (fresh when ar is nil), over the
+// shared read-only program.
+func (job *ProgJob) run(ctx context.Context, index int, ar *Arena) ProgResult {
+	r := ProgResult{Name: job.Name, Index: index}
+	if err := ctx.Err(); err != nil {
+		r.Outcome, r.Skipped = vm.OutcomeCancelled, true
+		r.Err = fmt.Errorf("parallel: %s not dispatched: %w", job.Name, err)
+		return r
+	}
+	vp, err := ar.AcquireProfiler(job.Options)
+	if err != nil {
+		r.Outcome, r.Err = vm.OutcomeFaulted, err
+		return r
+	}
+	opts := job.Run
+	opts.Input = job.Input
+	v := ar.AcquireVM(job.Prog, opts.EffectiveMemSize())
+	atom.PrepareOn(v, opts, vp)
+	r.Outcome, r.Err = v.RunControlled(ctx)
+	r.Exec = vm.ResultOf(v, r.Outcome)
+	ar.ReleaseVM(v)
+	r.Profile = vp.Profile()
+	ar.ReleaseProfiler(vp)
+	return r
 }
 
 // MergeProgShards folds the results' profiles into one, in job order —

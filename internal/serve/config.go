@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/base64"
 	"fmt"
-	"time"
 
 	"valueprof/internal/analysis"
 	"valueprof/internal/asm"
@@ -156,38 +155,13 @@ func (c *JobConfig) coreOptions() core.Options {
 	return opts
 }
 
-// runOptions maps the normalized config to the VM control plane for
-// one input.
-func (c *JobConfig) runOptions(input []int64) atom.RunOptions {
+// runOptions maps the normalized config to the VM control plane.
+func (c *JobConfig) runOptions() atom.RunOptions {
 	return atom.RunOptions{
-		Input:       input,
 		ChargeHooks: c.ChargeHooks,
 		StepLimit:   c.StepLimit,
 		MemSize:     c.MemSize,
 	}
-}
-
-// resumable reports whether interrupted sub-runs of this config can be
-// continued from a checkpoint. Convergent sampler state lives outside
-// the checkpoint, so convergent jobs restart from scratch instead —
-// both paths reproduce the uninterrupted run byte for byte.
-func (c *JobConfig) resumable() bool { return c.Convergent == nil }
-
-// deadline resolves the sub-run deadline for an attempt starting now:
-// the earlier of the sub-run budget (anchored at start) and the
-// per-attempt budget.
-func (c *JobConfig) deadline(start, now time.Time) time.Time {
-	var d time.Time
-	if c.DeadlineMs > 0 {
-		d = start.Add(time.Duration(c.DeadlineMs) * time.Millisecond)
-	}
-	if c.AttemptDeadlineMs > 0 {
-		a := now.Add(time.Duration(c.AttemptDeadlineMs) * time.Millisecond)
-		if d.IsZero() || a.Before(d) {
-			d = a
-		}
-	}
-	return d
 }
 
 // decodeProgram canonicalizes a submitted program: exactly one of the

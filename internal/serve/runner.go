@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"time"
 
 	"valueprof/internal/atom"
+	"valueprof/internal/atomicio"
 	"valueprof/internal/core"
-	"valueprof/internal/parallel"
+	"valueprof/internal/supervise"
 	"valueprof/internal/vm"
 )
 
@@ -120,263 +122,183 @@ func (s *Server) mergeSubRuns(j *job) ([]byte, error) {
 			return nil, err
 		}
 	}
-	var buf bytes.Buffer
-	if err := merged.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return recordJSON(merged)
 }
 
 // classEvicted is the internal (never wire-visible) class marking a
 // sub-run interrupted by daemon shutdown.
 const classEvicted = "evicted"
 
-// pulse is the per-attempt atom.Tool behind progress streaming and
-// restart survival: every `every` instructions it emits a
-// ProgressEvent, and every `ckEvery` instructions — for resumable
-// configs on a durable server — persists a VPCKPT1 checkpoint of the
-// run (checkpoints snapshot the guest memory image, so their interval
-// is much coarser). Like core.Checkpointer it arms lazily, so a
-// resumed attempt pulses one full interval after its resume point.
+// pulse is the per-attempt atom.Tool behind progress streaming: every
+// `every` instructions it emits a ProgressEvent. Like core.Checkpointer
+// it arms lazily at its first step, which runs after one instruction,
+// so an attempt that arms past that instruction resumed from a
+// checkpoint and pulses one full interval after its resume point. On a
+// durable server its step also drives the periodic core.Checkpointer,
+// so the VM makes one step call per instruction, not two.
 type pulse struct {
-	every    uint64
-	ckEvery  uint64
-	next     uint64
-	ckNext   uint64
-	vp       *core.ValueProfiler
-	ckptPath string // "" = no persistence
-	progName string
-	inName   string
-	event    func(v *vm.VM)
+	every   uint64
+	next    uint64
+	resumed bool
+	ckpt    *core.Checkpointer // nil = no periodic snapshot
+	event   func(v *vm.VM, resumed bool)
 }
 
 func (p *pulse) Instrument(ix *atom.Instrumenter) {
 	ix.AddStep(func(v *vm.VM) error {
-		if p.next == 0 {
-			p.next = v.InstCount + p.every
-			p.ckNext = v.InstCount + p.ckEvery
-			return nil
-		}
 		if v.InstCount >= p.next {
+			if p.next == 0 {
+				p.resumed = v.InstCount > 1
+			} else {
+				p.event(v, p.resumed)
+			}
 			p.next = v.InstCount + p.every
-			p.event(v)
 		}
-		if v.InstCount >= p.ckNext {
-			p.ckNext = v.InstCount + p.ckEvery
-			p.snapshot(v)
+		if p.ckpt != nil {
+			return p.ckpt.Step(v)
 		}
 		return nil
 	})
 }
 
-// snapshot persists the in-flight checkpoint; failures are swallowed —
-// a full disk degrades restart granularity, never the run.
-func (p *pulse) snapshot(v *vm.VM) {
-	if p.ckptPath == "" {
-		return
-	}
-	if ck, err := core.CheckpointOf(p.vp, v, p.progName, p.inName); err == nil {
-		ck.SaveAtomic(p.ckptPath)
-	}
+// subRun is the supervise.Hook of one sub-run: every attempt gets a
+// pulse, and on a durable server with a resumable config every
+// checkpoint an attempt carries forward is persisted, so a restarted
+// daemon resumes from it.
+type subRun struct {
+	s        *Server
+	j        *job
+	inputIdx int
+	progName string
+	inName   string
+	ckptPath string // "" = no persistence
 }
 
-// runOne executes one sub-run (one input) through the retry loop,
-// mirroring internal/supervise's classification: transient failures
-// retry (resuming from the carried checkpoint when the config allows),
-// budget overruns and deterministic guest faults stop the job. It
+func (h *subRun) AttemptTool(_, attempt int, vp *core.ValueProfiler) atom.Tool {
+	p := &pulse{
+		every: h.s.opts.PulseEvery,
+		event: func(v *vm.VM, resumed bool) {
+			h.j.emit(ProgressEvent{
+				Input:     h.inputIdx,
+				Inputs:    len(h.j.Inputs),
+				Attempt:   attempt,
+				Resumed:   resumed,
+				InstCount: v.InstCount,
+				Values:    v.AnalysisCalls,
+			})
+		},
+	}
+	if h.ckptPath != "" {
+		p.ckpt = core.NewCheckpointer(vp, h.ckptPath, h.s.opts.CheckpointEvery, h.progName, h.inName)
+	}
+	return p
+}
+
+// Checkpoint persists the carried checkpoint unchanged.
+func (h *subRun) Checkpoint(_, _ int, data []byte) []byte {
+	if h.ckptPath != "" {
+		// A failed write degrades restart granularity, never the run.
+		_ = atomicio.WriteFileBytes(h.ckptPath, data)
+	}
+	return data
+}
+
+// notRun is the last outcome of a sub-run whose attempts never started
+// the guest: profiler setup failed, or the budget or the job context
+// ran out first.
+const notRun vm.RunOutcome = -1
+
+// anyOutcome in a wireClasses row matches every last outcome.
+const anyOutcome vm.RunOutcome = -2
+
+// wireClasses is the one table from a finished sub-run's supervise
+// class and last outcome to its wire error class ("" = completed). The
+// first matching row wins; a sub-run no row matches (a profiler setup
+// failure) is class internal.
+var wireClasses = []struct {
+	class supervise.Class
+	last  vm.RunOutcome
+	wire  string
+}{
+	{supervise.ClassSuccess, anyOutcome, ""},
+	{supervise.ClassPermanent, vm.OutcomeFaulted, ClassFaulted}, // the same fault twice in a row
+	{supervise.ClassBudget, vm.OutcomeFaulted, ClassFaulted},    // attempts ran out on a fault
+	{supervise.ClassBudget, anyOutcome, ClassBudget},
+	{supervise.ClassAborted, anyOutcome, ClassCancelled}, // evicted instead while the daemon closes
+}
+
+func wireClass(class supervise.Class, last vm.RunOutcome) string {
+	for _, row := range wireClasses {
+		if row.class == class && (row.last == anyOutcome || row.last == last) {
+			return row.wire
+		}
+	}
+	return ClassInternal
+}
+
+// runOne executes one sub-run (one input) as a supervised job: the
+// config's budgets become the policy, a checkpoint persisted before a
+// restart its starting point, and subRun its per-attempt hook. It
 // returns the completed record's serialized bytes, or a non-empty wire
 // error class with the salvageable partial record (nil unless
-// SalvagePartial captured one).
+// SalvagePartial kept one).
 func (s *Server) runOne(j *job, progName string, inputIdx int, input []int64) (rec, partial []byte, class, msg string) {
 	cfg := &j.Config
-	inName := inputName(input)
-	opts := cfg.coreOptions()
-	resumable := cfg.resumable()
-	subStart := time.Now()
-
-	var ckptPath string
-	if resumable && s.opts.StateDir != "" {
-		ckptPath = checkpointPath(s.opts.StateDir, j.ID)
+	h := &subRun{s: s, j: j, inputIdx: inputIdx, progName: progName, inName: inputName(input)}
+	sj := supervise.Job{
+		Name:      progName,
+		InputName: h.inName,
+		Prog:      j.Prog,
+		Input:     input,
+		Options:   cfg.coreOptions(),
+		Run:       cfg.runOptions(),
 	}
-
-	// A carried checkpoint resumes the next attempt. The first attempt
-	// loads it from disk — that is the restart-survival path — and
-	// later attempts carry it in memory through the same serialized
-	// form, so the integrity envelope guards both identically.
-	var carried []byte
-	if ckptPath != "" {
-		if ck, err := core.LoadCheckpoint(ckptPath); err == nil &&
-			ck.Program == progName && ck.Input == inName && ck.VM != nil {
-			var buf bytes.Buffer
-			if core.WriteCheckpoint(&buf, ck) == nil {
-				carried = buf.Bytes()
-			}
-		}
+	if s.opts.StateDir != "" && supervise.CanResume(sj.Options) {
+		h.ckptPath = checkpointPath(s.opts.StateDir, j.ID)
+		sj.Checkpoint, _ = os.ReadFile(h.ckptPath) // none yet: a fresh start
 	}
+	r := supervise.Run(j.ctx, 1, []supervise.Job{sj}, supervise.Policy{
+		MaxAttempts:     cfg.MaxAttempts,
+		AttemptDeadline: time.Duration(cfg.AttemptDeadlineMs) * time.Millisecond,
+		TotalBudget:     time.Duration(cfg.DeadlineMs) * time.Millisecond,
+		SalvagePartial:  cfg.SalvagePartial,
+		Hook:            h,
+	}).Jobs[0]
+	j.mu.Lock()
+	j.attempts += r.Attempts
+	j.resumed += r.Resumed
+	j.mu.Unlock()
 
-	type attemptEnd struct {
-		outcome vm.RunOutcome
-		inst    uint64
-		base    uint64
-		faultPC int
-		resumed bool
+	last := r.Outcome
+	if r.Exec == nil {
+		last = notRun
 	}
-	var prev *attemptEnd
-
-	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-		if j.ctx.Err() != nil {
-			return nil, nil, s.interruptClass(), ""
-		}
-
-		var resume *core.Checkpoint
-		if resumable && carried != nil {
-			if ck, err := core.ReadCheckpoint(bytesReader(carried)); err == nil &&
-				ck.VM != nil && ck.Program == progName && ck.Input == inName {
-				resume = ck
-			}
-		}
-
-		vp, err := parallel.AcquireProfiler(opts)
+	switch class = wireClass(r.Class, last); class {
+	case "":
+		rec, err := recordJSON(r.Profile.Record(progName, h.inName))
 		if err != nil {
-			return nil, nil, ClassInternal, fmt.Sprintf("profiler setup: %v", err)
+			return nil, nil, ClassInternal, fmt.Sprintf("serializing record: %v", err)
 		}
-		if resume != nil {
-			if err := vp.Seed(resume); err != nil {
-				// Passed CRC but mismatches the profiler: as good as
-				// corrupt. Demote to a fresh start.
-				resume = nil
-				if err := vp.ResetFor(opts); err != nil {
-					parallel.ReleaseProfiler(vp)
-					return nil, nil, ClassInternal, fmt.Sprintf("profiler reset: %v", err)
-				}
-			}
-		}
-
-		ropts := cfg.runOptions(input)
-		ropts.Deadline = cfg.deadline(subStart, time.Now())
-		v := parallel.AcquireVM(j.Prog, ropts.EffectiveMemSize())
-		a := attemptEnd{}
-		if resume != nil {
-			a.base = resume.InstCount()
-		}
-		p := &pulse{
-			every:    s.opts.PulseEvery,
-			ckEvery:  s.opts.CheckpointEvery,
-			vp:       vp,
-			ckptPath: ckptPath,
-			progName: progName,
-			inName:   inName,
-			event: func(v *vm.VM) {
-				j.emit(ProgressEvent{
-					Input:     inputIdx,
-					Inputs:    len(j.Inputs),
-					Attempt:   attempt,
-					Resumed:   resume != nil,
-					InstCount: v.InstCount,
-					Values:    v.AnalysisCalls,
-				})
-			},
-		}
-		atom.PrepareOn(v, ropts, atom.Tool(vp), p)
-		if resume != nil {
-			if err := resume.RestoreVM(v); err != nil {
-				// Machine state decoded but won't restore: restart the
-				// attempt from scratch through the pooled-VM lifecycle.
-				resume = nil
-				a.base = 0
-				if err := vp.ResetFor(opts); err != nil {
-					parallel.ReleaseVM(v)
-					return nil, nil, ClassInternal, fmt.Sprintf("profiler reset: %v", err)
-				}
-				v.ResetFor(j.Prog, ropts.EffectiveMemSize())
-				atom.PrepareOn(v, ropts, atom.Tool(vp), p)
-			} else {
-				a.resumed = true
-				j.mu.Lock()
-				j.resumed++
-				j.mu.Unlock()
-			}
-		}
-
-		outcome, runErr := v.RunControlled(j.ctx)
-		a.outcome = outcome
-		a.inst = v.InstCount
-		a.faultPC = v.PC
-		j.mu.Lock()
-		j.attempts++
-		j.mu.Unlock()
-
-		if outcome == vm.OutcomeCompleted {
-			r := vp.Profile().Record(progName, inName)
-			var buf bytes.Buffer
-			err := r.WriteJSON(&buf)
-			parallel.ReleaseVM(v)
-			parallel.ReleaseProfiler(vp)
-			if err != nil {
-				return nil, nil, ClassInternal, fmt.Sprintf("serializing record: %v", err)
-			}
-			return buf.Bytes(), nil, "", ""
-		}
-
-		// The attempt stopped early. Capture its state: the serialized
-		// checkpoint carries the run into the next attempt (and, on
-		// disk, across a restart); the partial record is what salvage
-		// keeps when the budget runs dry.
-		if resumable {
-			if ck, err := core.CheckpointOf(vp, v, progName, inName); err == nil {
-				var buf bytes.Buffer
-				if core.WriteCheckpoint(&buf, ck) == nil {
-					carried = buf.Bytes()
-					if ckptPath != "" {
-						ck.SaveAtomic(ckptPath)
-					}
-				}
-			}
-		}
-		if cfg.SalvagePartial {
-			r := vp.Profile().Record(progName, inName)
-			r.Salvaged = true
-			r.Outcome = outcome.String()
-			var buf bytes.Buffer
-			if r.WriteJSON(&buf) == nil {
-				partial = buf.Bytes()
-			}
-		}
-		parallel.ReleaseVM(v)
-		parallel.ReleaseProfiler(vp)
-
-		switch outcome {
-		case vm.OutcomeCancelled:
-			return nil, partial, s.interruptClass(), ""
-		case vm.OutcomeLimit:
-			// StepLimit is the sub-run's total instruction budget; a
-			// resumed retry would continue toward the same absolute
-			// limit and stop on the same instruction.
-			return nil, partial, ClassBudget,
-				fmt.Sprintf("input %d: instruction budget %d exhausted", inputIdx, cfg.StepLimit)
-		case vm.OutcomeDeadline:
-			if a.resumed && a.inst <= a.base {
-				return nil, partial, ClassBudget,
-					fmt.Sprintf("input %d: no forward progress under attempt deadline", inputIdx)
-			}
-			// Retryable until attempts run out.
-		case vm.OutcomeFaulted:
-			if prev != nil && prev.outcome == vm.OutcomeFaulted &&
-				prev.faultPC == a.faultPC && prev.inst == a.inst {
-				return nil, partial, ClassFaulted,
-					fmt.Sprintf("input %d: deterministic fault at pc %d: %v", inputIdx, a.faultPC, runErr)
-			}
-		}
-		prev = &a
-		if attempt == cfg.MaxAttempts {
-			if outcome == vm.OutcomeFaulted {
-				return nil, partial, ClassFaulted, fmt.Sprintf("input %d: %v", inputIdx, runErr)
-			}
-			return nil, partial, ClassBudget,
-				fmt.Sprintf("input %d: %d attempts exhausted (last outcome %s)", inputIdx, cfg.MaxAttempts, outcome)
+		return rec, nil, "", ""
+	case ClassCancelled:
+		return nil, nil, s.interruptClass(), ""
+	}
+	if r.State == supervise.StateSalvaged {
+		pr := r.Profile.Record(progName, h.inName)
+		pr.Salvaged = true
+		pr.Outcome = r.Outcome.String()
+		if b, err := recordJSON(pr); err == nil { // unserializable: fail instead
+			partial = b
 		}
 	}
-	return nil, partial, ClassBudget, fmt.Sprintf("input %d: no attempts permitted", inputIdx)
+	return nil, partial, class, fmt.Sprintf("input %d: %v (%s after %d attempts)", inputIdx, r.Err, r.Class, r.Attempts)
+}
+
+// recordJSON serializes a profile record.
+func recordJSON(r *core.ProfileRecord) ([]byte, error) {
+	var buf bytes.Buffer
+	err := r.WriteJSON(&buf)
+	return buf.Bytes(), err
 }
 
 // interruptClass distinguishes daemon shutdown (eviction) from a

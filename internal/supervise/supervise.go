@@ -1,7 +1,8 @@
 // Package supervise turns the one-shot profiling jobs of
-// internal/parallel into managed, retryable, budgeted work — the job
-// runtime the future vprofd daemon will mount, consumed today by
-// vprof -jobs and vexp.
+// internal/parallel into managed, retryable, budgeted work. It is the
+// one retry, resume, and classify engine: vprof -jobs, the pool chaos
+// harness, and every vprofd sub-run go through Run, and vexp retries
+// whole experiments through Do.
 //
 // Each supervised job runs under a Policy: a bounded number of
 // attempts with exponential backoff and deterministic seeded jitter,
@@ -48,14 +49,16 @@ const (
 	// ClassSuccess: the attempt completed and passed its output check.
 	ClassSuccess Class = iota
 	// ClassRetryable: a transient-looking failure (injected fault,
-	// cancellation, first deadline/limit overrun) worth another attempt.
+	// cancellation, a deadline or per-attempt step overrun with forward
+	// progress) worth another attempt.
 	ClassRetryable
 	// ClassPermanent: retrying cannot help — setup failure, output
 	// mismatch, or a deterministic guest fault (same site, same
 	// instruction count, two attempts in a row).
 	ClassPermanent
-	// ClassBudget: the job's budget is exhausted, or a resumed attempt
-	// made no forward progress so more budget would be wasted.
+	// ClassBudget: the job's budget is exhausted — its total budget,
+	// its attempts, or its own absolute step limit — or a resumed
+	// attempt made no forward progress so more budget would be wasted.
 	ClassBudget
 	// ClassAborted: the supervisor's own context was cancelled.
 	ClassAborted
@@ -111,14 +114,17 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// Chaos injects failures into supervised runs for testing. It is
-// satisfied structurally (faultinject.PoolChaos implements it without
-// importing this package): AttemptTool returns the tool to attach to
-// one job attempt (nil for no injection), and MangleCheckpoint may
-// corrupt the serialized checkpoint carried between attempts.
-type Chaos interface {
-	AttemptTool(job, attempt int) atom.Tool
-	MangleCheckpoint(job, attempt int, data []byte) []byte
+// Hook observes and disturbs a job's attempts. AttemptTool returns a
+// tool to attach to one attempt next to its profiler vp (nil for
+// none). Checkpoint receives the serialized checkpoint a stopped
+// resumable attempt carries to the next one and returns the bytes to
+// carry instead. The pool chaos harness (faultinject.PoolChaos, which
+// satisfies it without importing this package) kills attempts and
+// corrupts the bytes; vprofd streams progress, snapshots the run, and
+// persists the bytes so a restarted daemon resumes from them.
+type Hook interface {
+	AttemptTool(job, attempt int, vp *core.ValueProfiler) atom.Tool
+	Checkpoint(job, attempt int, data []byte) []byte
 }
 
 // Policy bounds and shapes a supervised job's attempts.
@@ -142,13 +148,6 @@ type Policy struct {
 	// Seed drives the backoff jitter (and nothing else), so a given
 	// (seed, job, attempt) always waits the same duration.
 	Seed uint64
-	// Resume carries a checkpoint between attempts so retries continue
-	// instead of restarting. Resume is silently disabled for jobs
-	// whose profiler options include state that checkpoints do not
-	// capture (convergent or custom sampling, full-profile ground
-	// truth); those jobs retry from scratch, which is equally
-	// deterministic.
-	Resume bool
 	// SalvagePartial keeps the best partial profile of a job whose
 	// attempts ran out, marking its record Salvaged, instead of
 	// returning only an error.
@@ -156,8 +155,8 @@ type Policy struct {
 	// BreakerThreshold quarantines a job group after this many
 	// consecutive permanently-failed jobs; 0 disables the breaker.
 	BreakerThreshold int
-	// Chaos, when non-nil, injects failures (testing only).
-	Chaos Chaos
+	// Hook, when non-nil, extends every attempt (see Hook).
+	Hook Hook
 }
 
 func (p Policy) withDefaults() Policy {
@@ -216,8 +215,14 @@ type Job struct {
 	Want    string
 	Options core.Options
 	// Run carries the control-plane settings; Run.Input is ignored —
-	// the job's Input wins.
+	// the job's Input wins. Run.StepLimit is absolute: reaching it ends
+	// the job with ClassBudget, because every retry would stop on the
+	// same instruction.
 	Run atom.RunOptions
+	// Checkpoint, when non-nil, is a serialized checkpoint the first
+	// attempt resumes from (vprofd loads it from its state directory
+	// after a restart). It passes the same checks as a carried one.
+	Checkpoint []byte
 }
 
 func (j *Job) label() string { return j.Name + "/" + j.InputName }
@@ -256,8 +261,8 @@ type JobReport struct {
 	Attempts int
 	// Resumed counts attempts that continued from a checkpoint;
 	// CorruptCheckpoints counts carried checkpoints that failed their
-	// integrity check on resume (each demotes that retry to a fresh
-	// start).
+	// integrity or program/input check on resume (each demotes that
+	// retry to a fresh start).
 	Resumed            int
 	CorruptCheckpoints int
 	// Outcome and Err describe the last attempt (Err is nil iff the
@@ -394,8 +399,9 @@ type attemptOut struct {
 	faultPC int
 	resumed bool
 	// permanent marks failures no retry can fix (setup, output
-	// mismatch).
+	// mismatch); spent marks a stop at the job's own step limit.
 	permanent bool
+	spent     bool
 	// ck is the serialized salvage checkpoint for the next attempt
 	// (nil when the run completed or capture failed).
 	ck []byte
@@ -412,7 +418,7 @@ func (s *supervisor) runJob(job Job, index int) JobReport {
 	}
 
 	start := time.Now()
-	var carried []byte // serialized checkpoint from the last attempt
+	carried := job.Checkpoint // serialized checkpoint from the last attempt
 	var prev *attemptOut
 	var last *attemptOut
 	class := ClassRetryable
@@ -489,11 +495,12 @@ func (s *supervisor) sleepBackoff(index, attempt int) error {
 	}
 }
 
-// canResume reports whether a job's profiler state is fully captured
+// CanResume reports whether a job's profiler state is fully captured
 // by checkpoints. Convergent/custom sampling and full-profile ground
 // truth keep state outside the checkpoint, so resuming them would
-// diverge from an uninterrupted run.
-func canResume(opts core.Options) bool {
+// diverge from an uninterrupted run; such jobs retry from scratch,
+// which is equally deterministic, and never capture a checkpoint.
+func CanResume(opts core.Options) bool {
 	return opts.Convergent == nil && opts.Sampler == nil && !opts.TrackFull
 }
 
@@ -504,12 +511,13 @@ func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carr
 	a := &attemptOut{}
 
 	// Decode the carried checkpoint through the same strict integrity
-	// gate the on-disk loader uses; damage demotes this attempt to a
-	// fresh start.
+	// gate the on-disk loader uses; damage, or a checkpoint of another
+	// program or input, demotes this attempt to a fresh start.
+	resumable := CanResume(job.Options)
 	var resume *core.Checkpoint
-	if s.policy.Resume && carried != nil && canResume(job.Options) {
+	if carried != nil && resumable {
 		ck, err := core.ReadCheckpoint(bytes.NewReader(carried))
-		if err != nil || ck.VM == nil {
+		if err != nil || ck.VM == nil || ck.Program != job.Name || ck.Input != job.InputName {
 			rep.CorruptCheckpoints++
 		} else {
 			resume = ck
@@ -564,8 +572,8 @@ func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carr
 	}
 
 	tools := []atom.Tool{atom.Tool(vp)}
-	if s.policy.Chaos != nil {
-		if t := s.policy.Chaos.AttemptTool(index, attempt); t != nil {
+	if s.policy.Hook != nil {
+		if t := s.policy.Hook.AttemptTool(index, attempt, vp); t != nil {
 			tools = append(tools, t)
 		}
 	}
@@ -599,21 +607,22 @@ func (s *supervisor) attempt(job *Job, index, attempt int, start time.Time, carr
 	a.profile = vp.Profile()
 	a.inst = v.InstCount
 	a.faultPC = v.PC
+	a.spent = outcome == vm.OutcomeLimit && job.Run.StepLimit > 0 && a.inst >= job.Run.StepLimit
 	if outcome == vm.OutcomeCompleted && job.Want != "" && a.exec.Output != job.Want {
 		a.err = fmt.Errorf("supervise: %s output mismatch:\n got %q\nwant %q", job.label(), a.exec.Output, job.Want)
 		a.permanent = true
 	}
 
-	// Capture the salvage checkpoint for the next attempt. The bytes
-	// go through the real serializer so the chaos harness can corrupt
-	// them exactly as a torn disk write would.
-	if outcome != vm.OutcomeCompleted {
+	// Capture the checkpoint for the next attempt, only when one could
+	// resume from it. The bytes go through the real serializer so the
+	// chaos harness can corrupt them exactly as a torn disk write would.
+	if outcome != vm.OutcomeCompleted && resumable {
 		if ck, err := core.CheckpointOf(vp, v, job.Name, job.InputName); err == nil {
 			var buf bytes.Buffer
 			if core.WriteCheckpoint(&buf, ck) == nil {
 				a.ck = buf.Bytes()
-				if s.policy.Chaos != nil {
-					a.ck = s.policy.Chaos.MangleCheckpoint(index, attempt, a.ck)
+				if s.policy.Hook != nil {
+					a.ck = s.policy.Hook.Checkpoint(index, attempt, a.ck)
 				}
 			}
 		}
@@ -652,9 +661,10 @@ func (s *supervisor) classify(a, prev *attemptOut) Class {
 		}
 		return ClassRetryable
 	case vm.OutcomeDeadline, vm.OutcomeLimit:
-		// A resumed attempt that could not advance past its resume
-		// point will never finish under this budget.
-		if a.resumed && a.inst <= a.base {
+		// A stop at the job's own step limit, or a resumed attempt that
+		// could not advance past its resume point, will never finish
+		// under this budget.
+		if a.spent || (a.resumed && a.inst <= a.base) {
 			return ClassBudget
 		}
 		return ClassRetryable

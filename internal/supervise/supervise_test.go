@@ -83,14 +83,14 @@ type scriptedChaos struct {
 	mangle func(job, attempt int, data []byte) []byte
 }
 
-func (c *scriptedChaos) AttemptTool(job, attempt int) atom.Tool {
+func (c *scriptedChaos) AttemptTool(job, attempt int, _ *core.ValueProfiler) atom.Tool {
 	if c.tools == nil {
 		return nil
 	}
 	return c.tools[[2]int{job, attempt}]
 }
 
-func (c *scriptedChaos) MangleCheckpoint(job, attempt int, data []byte) []byte {
+func (c *scriptedChaos) Checkpoint(job, attempt int, data []byte) []byte {
 	if c.mangle == nil {
 		return data
 	}
@@ -113,7 +113,7 @@ func TestRetryResumesAndMatchesFaultFreeRun(t *testing.T) {
 		{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
 	}}
 	rep := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{
-		MaxAttempts: 3, Resume: true, Chaos: chaos,
+		MaxAttempts: 3, Hook: chaos,
 	})
 	r := &rep.Jobs[0]
 	if r.State != StateCompleted || r.Class != ClassSuccess {
@@ -142,7 +142,7 @@ func TestRetryFromScratchWhenOptionsForbidResume(t *testing.T) {
 	job2 := loopJob(t)
 	job2.Options.TrackFull = true
 	rep := Run(context.Background(), 1, []Job{job2}, Policy{
-		MaxAttempts: 3, Resume: true, Chaos: chaos,
+		MaxAttempts: 3, Hook: chaos,
 	})
 	r := &rep.Jobs[0]
 	if r.State != StateCompleted || r.Resumed != 0 {
@@ -164,7 +164,7 @@ func TestCorruptCheckpointDemotesToFreshStart(t *testing.T) {
 		},
 	}
 	rep := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{
-		MaxAttempts: 3, Resume: true, Chaos: chaos,
+		MaxAttempts: 3, Hook: chaos,
 	})
 	r := &rep.Jobs[0]
 	if r.State != StateCompleted {
@@ -181,12 +181,17 @@ func TestCorruptCheckpointDemotesToFreshStart(t *testing.T) {
 func TestDeterministicFaultEscalatesToPermanent(t *testing.T) {
 	// The same fault at the same instruction count on both attempts
 	// looks deterministic: the supervisor must stop burning budget.
-	chaos := &scriptedChaos{tools: map[[2]int]atom.Tool{
-		{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
-		{0, 2}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
-	}}
+	// Dropping the carried checkpoint reruns the retry from scratch, so
+	// the injected fault repeats at the same pc and instruction count.
+	chaos := &scriptedChaos{
+		tools: map[[2]int]atom.Tool{
+			{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
+			{0, 2}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindFault}),
+		},
+		mangle: func(job, attempt int, data []byte) []byte { return nil },
+	}
 	rep := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{
-		MaxAttempts: 5, Chaos: chaos, SalvagePartial: true,
+		MaxAttempts: 5, Hook: chaos, SalvagePartial: true,
 	})
 	r := &rep.Jobs[0]
 	if r.Attempts != 2 || r.Class != ClassPermanent {
@@ -221,7 +226,7 @@ func TestStuckBudgetStopsRetrying(t *testing.T) {
 	job := loopJob(t)
 	job.Run.StepLimit = 2000
 	rep := Run(context.Background(), 1, []Job{job}, Policy{
-		MaxAttempts: 10, Resume: true, SalvagePartial: true,
+		MaxAttempts: 10, SalvagePartial: true,
 	})
 	r := &rep.Jobs[0]
 	if r.Class != ClassBudget || r.Outcome != vm.OutcomeLimit {
@@ -242,7 +247,7 @@ func TestAttemptStepsSliceJobAcrossRetries(t *testing.T) {
 	want := cleanBaseline(t)
 	chaos := &scriptedChaos{tools: map[[2]int]atom.Tool{}}
 	rep := Run(context.Background(), 1, []Job{loopJob(t)}, Policy{
-		MaxAttempts: 10, Resume: true, AttemptSteps: 2000, Chaos: chaos,
+		MaxAttempts: 10, AttemptSteps: 2000, Hook: chaos,
 	})
 	r := &rep.Jobs[0]
 	if r.State != StateCompleted {
@@ -324,7 +329,7 @@ func TestMergeUsableMixesSalvagedAndCompleted(t *testing.T) {
 	jobs := []Job{loopJob(t), loopJob(t)}
 	jobs[1].InputName = "again"
 	rep := Run(context.Background(), 1, jobs, Policy{
-		MaxAttempts: 2, SalvagePartial: true, Chaos: chaos,
+		MaxAttempts: 2, SalvagePartial: true, Hook: chaos,
 	})
 	if rep.Completed != 1 || rep.Salvaged != 1 {
 		t.Fatalf("tallies %+v", rep)
@@ -415,5 +420,101 @@ func parallelJobForTest(t *testing.T) parallel.Job {
 		Workload: wls[0],
 		Input:    wls[0].Test,
 		Options:  core.Options{TNV: core.DefaultTNVConfig()},
+	}
+}
+
+func TestAbsoluteStepLimitIsBudgetAtOnce(t *testing.T) {
+	// The job's own step limit is absolute: a rerun from scratch (a
+	// convergent job cannot resume) stops on the same instruction, so
+	// the first limit stop must end the job instead of burning the
+	// remaining attempts.
+	job := loopJob(t)
+	conv := core.DefaultConvergentConfig()
+	job.Options.Convergent = &conv
+	job.Run.StepLimit = 2000
+	rep := Run(context.Background(), 1, []Job{job}, Policy{MaxAttempts: 5, SalvagePartial: true})
+	r := &rep.Jobs[0]
+	if r.Class != ClassBudget || r.Outcome != vm.OutcomeLimit || r.Attempts != 1 {
+		t.Fatalf("class %v outcome %v attempts %d, want budget/limit after 1 attempt", r.Class, r.Outcome, r.Attempts)
+	}
+	if r.State != StateSalvaged || r.Profile == nil {
+		t.Fatalf("state %v, want salvaged partial", r.State)
+	}
+}
+
+func TestCheckpointCapturedOnlyWhenResumable(t *testing.T) {
+	// A checkpoint serializes the guest memory image; capturing one no
+	// attempt can resume from is wasted work, so the hook never sees
+	// one for convergent or TrackFull jobs.
+	conv := core.DefaultConvergentConfig()
+	for _, tc := range []struct {
+		name      string
+		opts      func(*core.Options)
+		wantCalls int
+	}{
+		{"resumable", func(*core.Options) {}, 2},
+		{"convergent", func(o *core.Options) { o.Convergent = &conv }, 0},
+		{"trackfull", func(o *core.Options) { o.TrackFull = true }, 0},
+	} {
+		calls := 0
+		chaos := &scriptedChaos{
+			tools: map[[2]int]atom.Tool{
+				{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindCancel}),
+				{0, 2}: faultinject.New(faultinject.Injection{At: 3000, Kind: faultinject.KindFault}),
+			},
+			mangle: func(job, attempt int, data []byte) []byte {
+				calls++
+				return data
+			},
+		}
+		job := loopJob(t)
+		tc.opts(&job.Options)
+		rep := Run(context.Background(), 1, []Job{job}, Policy{MaxAttempts: 3, Hook: chaos})
+		r := &rep.Jobs[0]
+		if r.State != StateCompleted || r.Attempts != 3 {
+			t.Fatalf("%s: state %v attempts %d err %v", tc.name, r.State, r.Attempts, r.Err)
+		}
+		if calls != tc.wantCalls {
+			t.Errorf("%s: checkpoint callback called %d times, want %d", tc.name, calls, tc.wantCalls)
+		}
+	}
+}
+
+func TestStartingCheckpointResumesOnlyItsOwnRun(t *testing.T) {
+	// Job.Checkpoint is how a restarted caller resumes: the first
+	// attempt continues from it, but only when it names the job's own
+	// program and input.
+	want := cleanBaseline(t)
+	var saved []byte
+	chaos := &scriptedChaos{
+		tools: map[[2]int]atom.Tool{
+			{0, 1}: faultinject.New(faultinject.Injection{At: 1500, Kind: faultinject.KindCancel}),
+		},
+		mangle: func(job, attempt int, data []byte) []byte {
+			saved = data
+			return data
+		},
+	}
+	Run(context.Background(), 1, []Job{loopJob(t)}, Policy{Hook: chaos})
+	if saved == nil {
+		t.Fatal("interrupted attempt handed no checkpoint to the hook")
+	}
+
+	job := loopJob(t)
+	job.Checkpoint = saved
+	r := Run(context.Background(), 1, []Job{job}, Policy{}).Jobs[0]
+	if r.State != StateCompleted || r.Resumed != 1 || r.CorruptCheckpoints != 0 {
+		t.Fatalf("state %v resumed %d corrupt %d", r.State, r.Resumed, r.CorruptCheckpoints)
+	}
+	if got := recordBytes(t, &r); !bytes.Equal(got, want) {
+		t.Error("run resumed from a starting checkpoint differs from the fault-free run")
+	}
+
+	other := loopJob(t)
+	other.InputName = "other"
+	other.Checkpoint = saved
+	r = Run(context.Background(), 1, []Job{other}, Policy{}).Jobs[0]
+	if r.State != StateCompleted || r.Resumed != 0 || r.CorruptCheckpoints != 1 {
+		t.Fatalf("foreign checkpoint: state %v resumed %d corrupt %d", r.State, r.Resumed, r.CorruptCheckpoints)
 	}
 }
