@@ -57,9 +57,13 @@ lint:
 		echo "lint: staticcheck not installed, skipping"; \
 	fi
 
+# The binary decoders minimize new inputs slowly (a minimization can
+# eat most of a 30 s budget), so their passes cap it at 3 s.
 fuzz-smoke:
 	go test ./internal/core -run='^$$' -fuzz=FuzzReadProfileRecord -fuzztime=30s
 	go test ./internal/asm -run='^$$' -fuzz=FuzzAssemble -fuzztime=30s
+	go test ./internal/program -run='^$$' -fuzz=FuzzLoadImage -fuzztime=30s -fuzzminimizetime=3s
+	go test ./internal/core -run='^$$' -fuzz=FuzzReadCheckpoint -fuzztime=30s -fuzzminimizetime=3s
 
 # The differential-testing sweep: 500 generated programs checked
 # against the naive reference oracle (see docs/difftest.md). Any

@@ -344,7 +344,7 @@ func validateSiteState(s *SiteState, cfg TNVConfig) error {
 }
 
 func validateVMState(v *VMState) error {
-	if v.MemLen <= 0 {
+	if v.MemLen <= 0 || v.MemLen > vm.MaxMemSize {
 		return fmt.Errorf("vm state: bad memory size %d", v.MemLen)
 	}
 	if v.InputPos < 0 {

@@ -389,11 +389,12 @@ func (h *harness) checkReuse(recFull *core.ProfileRecord, resFull *vm.Result, in
 }
 
 // checkUnfused re-runs the profiled execution with a no-op step hook
-// attached. Step hooks disable every superinstruction (pairs and
-// three-op fusions alike) but charge nothing, so the unfused run must
-// be observably identical — instruction count, cycles, analysis calls,
-// and the serialized profile. This pins the fused dispatch paths to
-// the plain interpreter's semantics on every corpus program.
+// attached. A step hook runs after every instruction but charges
+// nothing, so the run must be observably identical — instruction
+// count, cycles, analysis calls, and the serialized profile. This pins
+// that attaching a no-op step hook is unobservable on every corpus
+// program. (The property keeps its historical name from when step
+// hooks also switched off the VM's fused dispatch paths.)
 func (h *harness) checkUnfused(recFull *core.ProfileRecord, resFull *vm.Result, input []int64) {
 	const prop = "fused-vs-unfused"
 	if resFull == nil {

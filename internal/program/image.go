@@ -120,11 +120,19 @@ func (ir *imageReader) str() (string, error) {
 	if n > imageMaxStrings {
 		return "", fmt.Errorf("program: string length %d too large", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(ir.r, buf); err != nil {
-		return "", err
+	buf, err := ir.bytes(n)
+	return string(buf), err
+}
+
+// bytes reads exactly n bytes. The buffer grows with the bytes actually
+// read, so a corrupt length in a short image cannot force a large
+// allocation up front.
+func (ir *imageReader) bytes(n uint64) ([]byte, error) {
+	buf, err := io.ReadAll(io.LimitReader(ir.r, int64(n)))
+	if err == nil && uint64(len(buf)) != n {
+		err = io.ErrUnexpectedEOF
 	}
-	return string(buf), nil
+	return buf, err
 }
 
 // Load reads a program image written by Save and validates it.
@@ -158,8 +166,9 @@ func Load(r io.Reader) (*Program, error) {
 	if err != nil || nCode > imageMaxStrings {
 		return fail("code", orSize(err, nCode))
 	}
-	p.Code = make([]isa.Inst, nCode)
-	for i := range p.Code {
+	// Like bytes, grow with what is read rather than trust nCode.
+	p.Code = make([]isa.Inst, 0, min(nCode, 1<<12))
+	for i := uint64(0); i < nCode; i++ {
 		w, err := ir.uvarint()
 		if err != nil {
 			return fail("code", err)
@@ -168,15 +177,14 @@ func Load(r io.Reader) (*Program, error) {
 		if err != nil {
 			return fail("code", err)
 		}
-		p.Code[i] = in
+		p.Code = append(p.Code, in)
 	}
 
 	nData, err := ir.uvarint()
 	if err != nil || nData > 1<<30 {
 		return fail("data", orSize(err, nData))
 	}
-	p.Data = make([]byte, nData)
-	if _, err := io.ReadFull(ir.r, p.Data); err != nil {
+	if p.Data, err = ir.bytes(nData); err != nil {
 		return fail("data", err)
 	}
 

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"valueprof/internal/core"
+	"valueprof/internal/vm"
 )
 
 // Options configures a Server.
@@ -192,6 +193,9 @@ func (s *Server) submit(req *JobRequest) (*job, bool, *RequestError) {
 	cfg := req.Config
 	if nerr := cfg.Normalize(); nerr != nil {
 		return nil, false, nerr.(*RequestError)
+	}
+	if merr := vm.CheckMemory(prog, cfg.runOptions().EffectiveMemSize()); merr != nil {
+		return nil, false, reqErr(ClassConfig, "%v", merr)
 	}
 	client := req.Client
 	if client == "" {

@@ -21,6 +21,9 @@ import (
 const (
 	DefaultMemSize   = 8 << 20 // 8 MiB flat address space
 	DefaultStepLimit = 1 << 31 // instructions
+	// MaxMemSize is the largest guest memory CheckMemory accepts
+	// (256 MiB, 32 times the default).
+	MaxMemSize = 256 << 20
 	// minValidAddr makes low addresses fault, catching null-pointer
 	// style bugs in generated code. The data segment starts above it.
 	minValidAddr = 0x100
@@ -95,11 +98,6 @@ type VM struct {
 	hookBits []uint8
 	// bufs holds the per-pc buffered after-sinks (HookAfterBuffered).
 	bufs []*ValueBuffer
-	// fused caches, per pc, whether this instruction and its successor
-	// execute as one fused (op, branch) pair; rebuilt lazily when
-	// fuseDirty is set. See refreshFusion.
-	fused     []uint8
-	fuseDirty bool
 }
 
 // Bits in hookBits.
@@ -123,32 +121,27 @@ func NewSized(prog *program.Program, memSize int) *VM {
 	return v
 }
 
+// CheckMemory reports whether a VM of memSize bytes can hold prog:
+// the size must lie in [minValidAddr, MaxMemSize] and the data segment
+// must fit below the memory end. NewSized, ResetFor and Reset assume
+// both, so memory sizes and images taken from outside the process are
+// checked here before a VM is built for them.
+func CheckMemory(prog *program.Program, memSize int) error {
+	if memSize < minValidAddr || memSize > MaxMemSize {
+		return fmt.Errorf("vm: memory size %d outside [%d, %d]", memSize, minValidAddr, MaxMemSize)
+	}
+	size := uint64(memSize)
+	if prog.DataAddr > size || uint64(len(prog.Data)) > size-prog.DataAddr {
+		return fmt.Errorf("vm: data segment [%#x, +%d) does not fit in %d bytes of memory", prog.DataAddr, len(prog.Data), memSize)
+	}
+	return nil
+}
+
 // ensureHookState makes the dense per-pc hook summary match the
 // program length (it is indexed unconditionally on the hot path).
 func (v *VM) ensureHookState() {
 	if len(v.hookBits) != len(v.Prog.Code) {
 		v.hookBits = growClear(v.hookBits, len(v.Prog.Code))
-	}
-}
-
-// unfuse invalidates any fused region that includes pc, so a hook
-// attached mid-run takes effect immediately, and schedules a full
-// fusion recompute for the next run (newly hookless pcs re-fuse then).
-// Three-op superinstructions start up to two pcs back, so both
-// predecessors are cleared.
-func (v *VM) unfuse(pc int) {
-	v.fuseDirty = true
-	if pc >= len(v.fused) {
-		// Stale table from a previous (shorter) program on a reused VM;
-		// fuseDirty already forces a full rebuild before the next run.
-		return
-	}
-	v.fused[pc] = fuseNone
-	if pc > 0 {
-		v.fused[pc-1] = fuseNone
-	}
-	if pc > 1 {
-		v.fused[pc-2] = fuseNone
 	}
 }
 
@@ -177,7 +170,7 @@ func (v *VM) Reset() {
 
 // ResetFor rewinds a VM for reuse on a (possibly different) program,
 // leaving it in the same observable state NewSized(prog, memSize)
-// would, while reusing the memory image and the hook-bit, fusion, and
+// would, while reusing the memory image and the hook-bit and
 // buffer-table allocations. Unlike Reset, all instrumentation is
 // removed and the run-control knobs (StepLimit, Deadline, Quantum,
 // ChargeHooks, Input) return to their defaults; callers re-instrument
@@ -213,7 +206,6 @@ func (v *VM) HookBefore(pc int, fn Hook) {
 	}
 	v.before[pc] = append(v.before[pc], fn)
 	v.hookBits[pc] |= hookBeforeBit
-	v.unfuse(pc)
 }
 
 // HookAfter attaches fn to run after each execution of instruction pc,
@@ -226,7 +218,6 @@ func (v *VM) HookAfter(pc int, fn Hook) {
 	}
 	v.after[pc] = append(v.after[pc], fn)
 	v.hookBits[pc] |= hookAfterBit
-	v.unfuse(pc)
 }
 
 // HookEnd attaches fn to run when the program exits.
@@ -250,10 +241,6 @@ func (v *VM) ClearHooks() {
 	for i := range v.hookBits {
 		v.hookBits[i] = 0
 	}
-	for i := range v.fused {
-		v.fused[i] = fuseNone
-	}
-	v.fuseDirty = true
 }
 
 // growClearHooks is growClear for per-pc hook tables.

@@ -25,6 +25,8 @@ func Diff(baseline, current *Report, tol float64) (string, error) {
 	row("hookOverhead", baseline.HookOverhead, current.HookOverhead, "%8.3f", "(lower better)")
 	row("hookedAllocs/run", baseline.HookedAllocsPerRun, current.HookedAllocsPerRun, "%8.0f", "(lower better)")
 	b.WriteString("informational (same-machine only):\n")
+	row("overhead spread", baseline.HookOverheadSpread, current.HookOverheadSpread, "%8.3f", "")
+	row("speedup spread", baseline.SpeedupVsLegacySpread, current.SpeedupVsLegacySpread, "%8.3f", "")
 	row("unhooked ns/inst", baseline.UnhookedNsPerInst, current.UnhookedNsPerInst, "%8.2f", "")
 	row("hooked ns/inst", baseline.HookedNsPerInst, current.HookedNsPerInst, "%8.2f", "")
 	row("legacy ns/inst", baseline.LegacyNsPerInst, current.LegacyNsPerInst, "%8.2f", "")

@@ -1,15 +1,20 @@
 // Package vmbench measures the interpreter hot path: per-opcode
-// dispatch microbenchmarks, the unhooked loop (pair fusion active),
-// and the hooked loop through both value-delivery paths — the batched
-// buffer sink and the legacy per-event closure (`core.Options.
-// Unbatched`). The recorded report (BENCH_vm.json) is the repo's VM
-// performance baseline; `Compare` gates regressions in `make ci`.
+// dispatch microbenchmarks, the unhooked loop, and the hooked loop
+// through both value-delivery paths — the batched buffer sink and the
+// legacy per-event closure (`core.Options.Unbatched`). The recorded
+// report (BENCH_vm.json) is the repo's VM performance baseline;
+// `Compare` gates regressions in `make ci`.
 //
 // Absolute ns/inst numbers are machine-dependent and recorded for
 // context only. The gated quantities are ratios of runs on the same
 // machine in the same process — HookOverhead (hooked vs unhooked) and
 // SpeedupVsLegacy (legacy closures vs batched buffers) — which cancel
-// out the hardware and stay comparable across recording environments.
+// out core speed, though not the CPU count: a baseline is only
+// comparable with runs at the same GOMAXPROCS.
+// The three configurations run interleaved, one run each per round, so
+// a slow stretch on a shared host slows all three alike; each gated
+// ratio is the median of its per-round ratios, with their spread
+// recorded beside it.
 package vmbench
 
 import (
@@ -17,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,13 +52,21 @@ type Report struct {
 	HookedNsPerInst   float64 `json:"hookedNsPerInst"`
 	LegacyNsPerInst   float64 `json:"legacyNsPerInst"`
 
-	// HookOverhead = HookedNsPerInst / UnhookedNsPerInst: the cost
-	// multiplier of full-time batched profiling. Gated (lower better).
+	// HookOverhead is the median over rounds of hooked / unhooked
+	// ns/inst: the cost multiplier of full-time batched profiling.
+	// Gated (lower better).
 	HookOverhead float64 `json:"hookOverhead"`
-	// SpeedupVsLegacy = LegacyNsPerInst / HookedNsPerInst: what the
-	// batched value buffers buy over per-event closures on the same
-	// hooked loop. Gated (higher better).
+	// SpeedupVsLegacy is the median over rounds of legacy / hooked
+	// ns/inst: what the batched value buffers buy over per-event
+	// closures on the same hooked loop. Gated (higher better).
 	SpeedupVsLegacy float64 `json:"speedupVsLegacy"`
+	// HookOverheadSpread and SpeedupVsLegacySpread are the
+	// interquartile range of the per-round ratios over their median:
+	// how far a typical round strays from the gated figure on the
+	// recording host. Zero in reports recorded before the fields
+	// existed.
+	HookOverheadSpread    float64 `json:"hookOverheadSpread,omitempty"`
+	SpeedupVsLegacySpread float64 `json:"speedupVsLegacySpread,omitempty"`
 
 	// HookedAllocsPerRun / HookedAllocKBPerRun are the allocator
 	// traffic of one full hooked hot-loop run, profiler construction
@@ -83,8 +97,9 @@ func ReadReport(r io.Reader) (*Report, error) {
 
 // String renders the one-line summary.
 func (r *Report) String() string {
-	return fmt.Sprintf("vm hot loop: unhooked %.1f ns/inst, hooked %.1f (%.2fx overhead), legacy %.1f — batched speedup %.2fx",
-		r.UnhookedNsPerInst, r.HookedNsPerInst, r.HookOverhead, r.LegacyNsPerInst, r.SpeedupVsLegacy)
+	return fmt.Sprintf("vm hot loop: unhooked %.1f ns/inst, hooked %.1f (%.2fx overhead, spread %.0f%%), legacy %.1f — batched speedup %.2fx (spread %.0f%%)",
+		r.UnhookedNsPerInst, r.HookedNsPerInst, r.HookOverhead, r.HookOverheadSpread*100,
+		r.LegacyNsPerInst, r.SpeedupVsLegacy, r.SpeedupVsLegacySpread*100)
 }
 
 // Options sizes the measurement. The zero value selects recording
@@ -93,8 +108,10 @@ type Options struct {
 	// Outer is the hot-loop trip count (default 2000; ~1.3M
 	// instructions per timing).
 	Outer int
-	// Repeats is how many times each configuration is timed; the
-	// minimum is kept (default 5).
+	// Repeats is how many times each configuration is timed: the
+	// number of interleaved rounds of the hot-loop comparison, and of
+	// runs per opcode loop. Ns/inst figures keep the minimum; the
+	// gated ratios take the median of the per-round ratios (default 9).
 	Repeats int
 	// SkipPerOp omits the per-opcode sweep.
 	SkipPerOp bool
@@ -105,7 +122,7 @@ func (o Options) withDefaults() Options {
 		o.Outer = 2000
 	}
 	if o.Repeats <= 0 {
-		o.Repeats = 5
+		o.Repeats = 9
 	}
 	return o
 }
@@ -144,34 +161,64 @@ func mustAssemble(src string) *program.Program {
 	return p
 }
 
-// timeRun executes one profiling configuration repeatedly and returns
-// the minimum ns/inst. A nil mkTool times the bare interpreter.
-func timeRun(prog *program.Program, input []int64, repeats int, mkTool func() (atom.Tool, func())) (float64, uint64, error) {
-	best := time.Duration(1<<63 - 1)
+// timeOnce executes one profiling configuration once and returns its
+// ns/inst and instruction count. A nil mkTool times the bare
+// interpreter.
+func timeOnce(prog *program.Program, input []int64, mkTool func() (atom.Tool, func())) (float64, uint64, error) {
+	var tools []atom.Tool
+	var finish func()
+	if mkTool != nil {
+		t, f := mkTool()
+		tools, finish = []atom.Tool{t}, f
+	}
+	runtime.GC()
+	start := time.Now()
+	res, err := atom.Run(prog, input, false, tools...)
+	if finish != nil {
+		finish()
+	}
+	elapsed := time.Since(start)
+	if err != nil {
+		return 0, 0, fmt.Errorf("vmbench: %w", err)
+	}
+	return float64(elapsed.Nanoseconds()) / float64(res.InstCount), res.InstCount, nil
+}
+
+// timeRounds times every configuration once per round for the given
+// number of rounds and returns ns[config][round]. Each round starts at
+// a different configuration, so none of them always runs first (right
+// after the previous round's slowest run and its garbage).
+func timeRounds(prog *program.Program, input []int64, rounds int, configs []func() (atom.Tool, func())) ([][]float64, uint64, error) {
+	ns := make([][]float64, len(configs))
 	var insts uint64
-	for i := 0; i < repeats; i++ {
-		var tools []atom.Tool
-		var finish func()
-		if mkTool != nil {
-			t, f := mkTool()
-			tools, finish = []atom.Tool{t}, f
-		}
-		runtime.GC()
-		start := time.Now()
-		res, err := atom.Run(prog, input, false, tools...)
-		if finish != nil {
-			finish()
-		}
-		elapsed := time.Since(start)
-		if err != nil {
-			return 0, 0, fmt.Errorf("vmbench: %w", err)
-		}
-		insts = res.InstCount
-		if elapsed < best {
-			best = elapsed
+	for r := 0; r < rounds; r++ {
+		for k := range configs {
+			c := (r + k) % len(configs)
+			v, n, err := timeOnce(prog, input, configs[c])
+			if err != nil {
+				return nil, 0, err
+			}
+			ns[c] = append(ns[c], v)
+			insts = n
 		}
 	}
-	return float64(best.Nanoseconds()) / float64(insts), insts, nil
+	return ns, insts, nil
+}
+
+// ratioStats returns the median of num[i]/den[i] over rounds and the
+// spread of those ratios: their interquartile range over the median.
+func ratioStats(num, den []float64) (median, spread float64) {
+	ratios := make([]float64, len(num))
+	for i := range num {
+		ratios[i] = num[i] / den[i]
+	}
+	slices.Sort(ratios)
+	n := len(ratios)
+	median = ratios[n/2]
+	if n%2 == 0 {
+		median = (ratios[n/2-1] + ratios[n/2]) / 2
+	}
+	return median, (ratios[3*n/4] - ratios[n/4]) / median
 }
 
 // measureAllocs counts the allocator traffic of one run of the given
@@ -261,12 +308,6 @@ func Measure(opts Options) (*Report, error) {
 		Repeats:    opts.Repeats,
 	}
 
-	unhooked, insts, err := timeRun(prog, input, opts.Repeats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rep.UnhookedNsPerInst, rep.Insts = unhooked, insts
-
 	profTool := func(o core.Options) func() (atom.Tool, func()) {
 		return func() (atom.Tool, func()) {
 			vp, err := core.NewValueProfiler(o)
@@ -279,22 +320,21 @@ func Measure(opts Options) (*Report, error) {
 			return vp, vp.FlushBuffers
 		}
 	}
-	hooked, _, err := timeRun(prog, input, opts.Repeats, profTool(core.DefaultOptions()))
-	if err != nil {
-		return nil, err
-	}
-	rep.HookedNsPerInst = hooked
-
 	legacyOpts := core.DefaultOptions()
 	legacyOpts.Unbatched = true
-	legacy, _, err := timeRun(prog, input, opts.Repeats, profTool(legacyOpts))
+	ns, insts, err := timeRounds(prog, input, opts.Repeats, []func() (atom.Tool, func()){
+		nil, profTool(core.DefaultOptions()), profTool(legacyOpts),
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.LegacyNsPerInst = legacy
-
-	rep.HookOverhead = hooked / unhooked
-	rep.SpeedupVsLegacy = legacy / hooked
+	unhooked, hooked, legacy := ns[0], ns[1], ns[2]
+	rep.Insts = insts
+	rep.UnhookedNsPerInst = slices.Min(unhooked)
+	rep.HookedNsPerInst = slices.Min(hooked)
+	rep.LegacyNsPerInst = slices.Min(legacy)
+	rep.HookOverhead, rep.HookOverheadSpread = ratioStats(hooked, unhooked)
+	rep.SpeedupVsLegacy, rep.SpeedupVsLegacySpread = ratioStats(legacy, hooked)
 
 	allocs, kb, err := measureAllocs(prog, input, opts.Repeats, profTool(core.DefaultOptions()))
 	if err != nil {
@@ -309,11 +349,11 @@ func Measure(opts Options) (*Report, error) {
 		// gated.
 		opInput := []int64{int64(opts.Outer*20 + 1)}
 		for _, op := range perOpOps {
-			ns, _, err := timeRun(mustAssemble(perOpSrc(op.inst)), opInput, opts.Repeats, nil)
+			opNs, _, err := timeRounds(mustAssemble(perOpSrc(op.inst)), opInput, opts.Repeats, []func() (atom.Tool, func()){nil})
 			if err != nil {
 				return nil, fmt.Errorf("op %s: %w", op.name, err)
 			}
-			rep.PerOp = append(rep.PerOp, OpBench{Op: op.name, NsPerInst: ns})
+			rep.PerOp = append(rep.PerOp, OpBench{Op: op.name, NsPerInst: slices.Min(opNs[0])})
 		}
 	}
 	return rep, nil
